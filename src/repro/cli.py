@@ -51,7 +51,7 @@ from repro.exec import DEFAULT_CACHE_DIR, JobRunner, ResultCache
 from repro.core.spec import PAPER_SPECTRUM, spec_of
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
-from repro.machine.params import DISPATCH_MODES, MachineParams
+from repro.machine.params import MachineParams
 from repro.obs import (
     AttributionReport,
     FleetMonitor,
@@ -116,41 +116,6 @@ def _duration(text: str) -> float:
     return value
 
 
-def _add_shards_arg(parser: argparse.ArgumentParser) -> None:
-    """``--shards``: parallel-in-time execution (repro.sim.shard).
-
-    Byte-identical to the serial engine (gated by the sharded
-    equivalence tests and the CI ``sharded-equivalence`` job), so like
-    ``--dispatch`` it is an execution knob: never part of
-    :class:`MachineParams` or experiment cache keys.  Default ``None``
-    defers to the ``REPRO_SHARDS`` environment variable, then to 1
-    (serial).
-    """
-    parser.add_argument(
-        "--shards", default=None, metavar="N|auto",
-        help="split the simulated nodes across N worker processes "
-             "advancing in conservative time windows ('auto' = one "
-             "per CPU); results are byte-identical to --shards 1",
-    )
-
-
-def _add_dispatch_arg(parser: argparse.ArgumentParser) -> None:
-    """``--dispatch``: protocol-engine execution mode.
-
-    Cycle-identical either way (gated by the equivalence fixture and
-    the report ``cmp`` in CI); ``interpreted`` is the readable
-    fallback when the table compiler is suspected.  Default ``None``
-    defers to the ``REPRO_DISPATCH`` environment variable, then to
-    compiled.
-    """
-    parser.add_argument(
-        "--dispatch", choices=DISPATCH_MODES, default=None,
-        help="protocol dispatch mode: exec-compiled per-table code "
-             "(default) or the interpreted reference engine; both "
-             "produce byte-identical results",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -180,13 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sample-every", type=_nonneg_int, default=10_000,
                      metavar="CYCLES",
                      help="interval of the metrics time-series sampler "
-                          "(0 disables it — required with --shards > 1, "
-                          "where no single process sees the clock tick)")
+                          "(0 disables it)")
     run.add_argument("--check-invariants", action="store_true",
                      help="run under the continuous protocol invariant "
                           "checker; exit 1 on any violation")
-    _add_dispatch_arg(run)
-    _add_shards_arg(run)
     run.add_argument("--progress", action="store_true",
                      help="live progress line on stderr (sim-cycle "
                           "heartbeat; never changes results)")
@@ -208,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="parallel")
     profile.add_argument("--sample-every", type=_positive_int, default=10_000,
                          metavar="CYCLES")
-    _add_dispatch_arg(profile)
 
     sweep = sub.add_parser("sweep",
                            help="run one app across the protocol spectrum")
@@ -263,8 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="append every telemetry event to FILE "
                                   "as repro-fleetlog/1 JSONL (summarize "
                                   "later with 'repro status FILE')")
-    _add_dispatch_arg(experiments)
-    _add_shards_arg(experiments)
     experiments.add_argument("--prom-out", metavar="FILE", default=None,
                              help="write a Prometheus text-format "
                                   "snapshot of the final sweep status")
@@ -301,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="TXN",
                          help="also print the span tree of transaction "
                               "TXN (stderr)")
-    _add_dispatch_arg(analyze)
-    _add_shards_arg(analyze)
 
     diff = sub.add_parser(
         "diff",
@@ -397,8 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="CYCLES",
                        help="simulated cycles between job_progress "
                             "heartbeats")
-    _add_dispatch_arg(serve)
-    _add_shards_arg(serve)
 
     check = sub.add_parser(
         "check",
@@ -414,9 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lint src/repro for nondeterminism "
                             "hazards")
     check.add_argument("--flow", action="store_true",
-                       help="dataflow analyses: translation "
-                            "validation of compiled dispatch, "
-                            "shard-safety inference, taint-based "
+                       help="dataflow analysis: taint-based "
                             "determinism lint")
     check.add_argument("--quick", action="store_true",
                        help="model-check only the two-node "
@@ -459,9 +412,7 @@ def _machine_from(args: argparse.Namespace) -> Machine:
     )
     return Machine(params, protocol=args.protocol,
                    software=args.software,
-                   invalidation_mode=args.invalidation_mode,
-                   dispatch=args.dispatch,
-                   shards=getattr(args, "shards", None))
+                   invalidation_mode=args.invalidation_mode)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -474,22 +425,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         collector = TraceCollector.attach(machine)
     if args.metrics_out:
-        # The time-series sampler rides the global clock (on_advance),
-        # which no single process sees under --shards; every other
-        # observer below works from replayable per-event channels.
         if args.sample_every:
             sampler = IntervalSampler.attach(machine,
                                              every=args.sample_every)
         recorder = LatencyRecorder.attach(machine)
     if args.check_invariants:
-        if machine.shards > 1:
-            # The checker cross-examines live directory and cache state
-            # as each event fires; replaying the merged event stream
-            # against the (never-mutated) parent machine would check
-            # nothing.  Refuse rather than silently pass.
-            print("error: --check-invariants inspects live machine "
-                  "state and needs --shards 1", file=sys.stderr)
-            return 2
         checker = InvariantChecker.attach(machine)
     if args.progress:
         progress = RunProgress.attach(
@@ -786,8 +726,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             check_invariants=args.check_invariants,
             attribution=args.attribution,
             telemetry=monitor,
-            dispatch=args.dispatch,
-            shards=args.shards,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -929,8 +867,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache=None if args.no_cache else ResultCache(args.cache_dir),
             telemetry=monitor,
             heartbeat_every=args.heartbeat_every,
-            dispatch=args.dispatch,
-            shards=args.shards,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -973,8 +909,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.protocol.compile import ensure_builtin_tables_compiled
-    from repro.verify.flow import run_flow
+    from repro.verify.flow.taint import run_taint
     from repro.verify.lint import run_lint
     from repro.verify.modelcheck import (
         MAX_STATES,
@@ -999,13 +934,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             else MAX_STATES),
                 coverage=not args.quick))
         if run_linter:
-            # Populate the generated-source registry so the linter
-            # always sees the compiled dispatch modules, even in a
-            # process that never constructed a machine.
-            ensure_builtin_tables_compiled()
             report.extend(run_lint())
         if run_flow_passes:
-            report.extend(run_flow())
+            report.extend(run_taint())
     except Exception as exc:
         print(f"repro check: internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -45,7 +45,7 @@ from typing import (
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SimJob, execute_job, job_key
-from repro.machine.params import resolve_shards
+from repro.machine.params import require_serial
 from repro.sim.stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -148,6 +148,9 @@ class JobRunner:
         and cache keys are byte-identical with or without it.
     heartbeat_every:
         Simulated cycles between worker ``job_progress`` heartbeats.
+    shards:
+        Accepted for callers that pin it; must be ``1`` (each job runs
+        on the serial engine).
     """
 
     def __init__(self, jobs: JobsSpec = 1,
@@ -156,21 +159,11 @@ class JobRunner:
                  attribution: bool = False,
                  telemetry: Optional["FleetMonitor"] = None,
                  heartbeat_every: Optional[int] = None,
-                 dispatch: Optional[str] = None,
-                 shards: "int | str | None" = None) -> None:
+                 shards: int = 1) -> None:
+        require_serial(shards)
         self.n_workers = resolve_jobs(jobs)
         self.cache = cache
         self.check_invariants = check_invariants
-        #: protocol-engine dispatch mode for executed jobs ("compiled"
-        #: or "interpreted"; None = resolve from env/default).  An
-        #: execution knob like check_invariants: cycle-identical, so it
-        #: never enters cache keys and cached results stay valid.
-        self.dispatch = dispatch
-        #: parallel-in-time shard count per job, resolved against the
-        #: worker count so jobs x shards never oversubscribes the
-        #: machine (repro.machine.params.resolve_shards).  Like
-        #: dispatch: byte-identical results, never in cache keys.
-        self.shards = resolve_shards(shards, jobs=self.n_workers)
         self.attribution = attribution
         self.telemetry = telemetry
         if heartbeat_every is None:
@@ -255,8 +248,7 @@ class JobRunner:
                 heartbeat_every=self.heartbeat_every)
         return {
             key: execute_job(job, check_invariants=self.check_invariants,
-                             telemetry=worker_telemetry,
-                             dispatch=self.dispatch, shards=self.shards)
+                             telemetry=worker_telemetry)
             for key, job in pending.items()
         }
 
@@ -272,8 +264,7 @@ class JobRunner:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 futures = {
                     key: executor.submit(execute_job, pending[key],
-                                         self.check_invariants,
-                                         None, self.dispatch, self.shards)
+                                         self.check_invariants)
                     for key in keys
                 }
                 # Collect in plan order; completion order is irrelevant
@@ -312,8 +303,7 @@ class JobRunner:
                     futures = {
                         key: executor.submit(_execute_job_in_worker,
                                              pending[key],
-                                             self.check_invariants,
-                                             self.dispatch, self.shards)
+                                             self.check_invariants)
                         for key in keys
                     }
                     return {key: futures[key].result() for key in keys}
@@ -334,9 +324,8 @@ def _init_worker_telemetry(queue, heartbeat_every) -> None:
     _WORKER_HEARTBEAT_EVERY = heartbeat_every
 
 
-def _execute_job_in_worker(job: SimJob, check_invariants: bool,
-                           dispatch: Optional[str] = None,
-                           shards: "int | None" = None) -> RunStats:
+def _execute_job_in_worker(job: SimJob,
+                           check_invariants: bool) -> RunStats:
     """Worker-process entry point: execute_job + telemetry, if wired."""
     telemetry = None
     if _WORKER_TELEMETRY_QUEUE is not None:
@@ -346,21 +335,18 @@ def _execute_job_in_worker(job: SimJob, check_invariants: bool,
             _WORKER_TELEMETRY_QUEUE.put,
             heartbeat_every=_WORKER_HEARTBEAT_EVERY or DEFAULT_HEARTBEAT)
     return execute_job(job, check_invariants=check_invariants,
-                       telemetry=telemetry, dispatch=dispatch,
-                       shards=shards)
+                       telemetry=telemetry)
 
 
-def _execute_with_monitor(job: SimJob, monitor, heartbeat_every: int,
-                          dispatch: Optional[str],
-                          shards: "int | None") -> RunStats:
+def _execute_with_monitor(job: SimJob, monitor,
+                          heartbeat_every: int) -> RunStats:
     """In-process execution with telemetry delivered straight to the
     monitor (thread-pool farms; mirrors JobRunner's serial path)."""
     from repro.obs.fleet import FleetTelemetry
 
     telemetry = FleetTelemetry(monitor.handle,
                                heartbeat_every=heartbeat_every)
-    return execute_job(job, check_invariants=False, telemetry=telemetry,
-                       dispatch=dispatch, shards=shards)
+    return execute_job(job, check_invariants=False, telemetry=telemetry)
 
 
 class Submission(NamedTuple):
@@ -410,8 +396,6 @@ class FarmExecutor:
                  attribution: bool = False,
                  telemetry: Optional["FleetMonitor"] = None,
                  heartbeat_every: Optional[int] = None,
-                 dispatch: Optional[str] = None,
-                 shards: "int | str | None" = None,
                  worker_pool: str = "process") -> None:
         import threading
 
@@ -423,8 +407,6 @@ class FarmExecutor:
         self.cache = cache
         self.attribution = attribution
         self.telemetry = telemetry
-        self.dispatch = dispatch
-        self.shards = resolve_shards(shards, jobs=self.n_workers)
         self.worker_pool = worker_pool
         if heartbeat_every is None:
             from repro.obs.fleet import DEFAULT_HEARTBEAT
@@ -507,15 +489,11 @@ class FarmExecutor:
         if self.worker_pool == "thread":
             if self.telemetry is not None:
                 return pool.submit(_execute_with_monitor, job,
-                                   self.telemetry, self.heartbeat_every,
-                                   self.dispatch, self.shards)
-            return pool.submit(execute_job, job, False, None,
-                               self.dispatch, self.shards)
+                                   self.telemetry, self.heartbeat_every)
+            return pool.submit(execute_job, job, False)
         if self._queue is not None:
-            return pool.submit(_execute_job_in_worker, job, False,
-                               self.dispatch, self.shards)
-        return pool.submit(execute_job, job, False, None,
-                           self.dispatch, self.shards)
+            return pool.submit(_execute_job_in_worker, job, False)
+        return pool.submit(execute_job, job, False)
 
     # ------------------------------------------------------------------
     # Submission

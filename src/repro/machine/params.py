@@ -12,87 +12,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 
 from repro.common.errors import ConfigurationError
 
 #: Bytes per 32-bit word.  Addresses throughout the simulator count words.
 WORD_BYTES = 4
 
-#: Protocol-engine dispatch modes: ``compiled`` exec-compiles each
-#: transition table into specialized per-(event, state) code at machine
-#: construction (:mod:`repro.core.protocol.compile`); ``interpreted``
-#: walks the ``(guard, action, row)`` tuples directly.  Both produce
-#: byte-identical cycle counts (gated by the equivalence fixture), so
-#: the mode is an *execution* knob like ``check_invariants`` — it is
-#: deliberately NOT a :class:`MachineParams` field and never enters
-#: experiment cache keys.
-DISPATCH_MODES = ("compiled", "interpreted")
-DEFAULT_DISPATCH = "compiled"
+def require_serial(shards: int) -> None:
+    """Validate the ``shards`` keyword of ``Machine`` and ``JobRunner``.
 
-#: Environment override consulted when no explicit mode is given —
-#: lets CI force ``REPRO_DISPATCH=interpreted`` across a whole job
-#: without threading a flag through every entry point.
-DISPATCH_ENV = "REPRO_DISPATCH"
-
-
-def resolve_dispatch(value: "str | None" = None) -> str:
-    """Resolve the protocol dispatch mode.
-
-    Precedence: explicit ``value`` (CLI/constructor), then the
-    ``REPRO_DISPATCH`` environment variable, then
-    :data:`DEFAULT_DISPATCH`.
+    The engine is serial; the keyword stays for callers that pin
+    ``shards=1`` explicitly, and any other value is an error.
     """
-    if value is None:
-        value = os.environ.get(DISPATCH_ENV) or DEFAULT_DISPATCH
-    if value not in DISPATCH_MODES:
+    if shards != 1:
         raise ConfigurationError(
-            f"unknown dispatch mode {value!r}; expected one of "
-            f"{', '.join(DISPATCH_MODES)}"
+            f"shards={shards!r}: sharded execution was removed; the "
+            f"simulator runs serially (shards=1)"
         )
-    return value
-
-
-#: Environment override for the shard count, mirroring
-#: :data:`DISPATCH_ENV` — sharding is likewise an execution knob
-#: (byte-identical results), never a :class:`MachineParams` field and
-#: never part of experiment cache keys.
-SHARDS_ENV = "REPRO_SHARDS"
-
-
-def resolve_shards(value: "int | str | None" = None, *,
-                   jobs: int = 1) -> int:
-    """Resolve a ``--shards`` value to a concrete shard count.
-
-    Precedence: explicit ``value``, then the ``REPRO_SHARDS``
-    environment variable, then ``1`` (serial).  ``"auto"`` divides the
-    CPU count by ``jobs`` so a sharded run inside a job pool never
-    oversubscribes the machine; an explicit count is honoured verbatim
-    when ``jobs == 1`` (more shards than cores is legal — the CI
-    equivalence gate relies on it) but clamped to the fair share when
-    competing with other pool workers.
-    """
-    if value is None:
-        value = os.environ.get(SHARDS_ENV) or 1
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    fair_share = max(1, (os.cpu_count() or 1) // jobs)
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return fair_share
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"--shards expects a positive integer or 'auto', "
-                f"got {text!r}"
-            ) from None
-    if value < 1:
-        raise ConfigurationError(f"--shards must be >= 1, got {value}")
-    if jobs > 1:
-        return min(value, fair_share)
-    return value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -93,9 +93,8 @@ class Processor:
         self.state = ProcState.RUNNING
         self._last_progress = self.sim.now
         # The start event is owned by this node, not by whatever context
-        # called start() (workload setup runs as node 0): a shard that
-        # starts only its own nodes must allocate exactly the sequence
-        # numbers the serial engine allocates for them.
+        # called start() (workload setup runs as node 0), so each node's
+        # sequence numbers depend only on its own history.
         self.sim.after(0, self._guarded(self._step), owner=self.node.id)
 
     @property
@@ -339,7 +338,7 @@ class Processor:
         # the miss through every message/trap/handler it causes.  Ids
         # are allocated from a per-node counter (interleaved modulo
         # n_nodes), so a node's ids depend only on its own deterministic
-        # history — identical across runs and across shard counts.
+        # history — identical across runs.
         txn = self.machine.next_txn(self.node.id)
         self._stall_txn = txn
 

@@ -7,10 +7,10 @@ transmit queue is resolved at the *source* when a message is sent; the
 receive queue is resolved at the *destination* when the message arrives.
 Each message therefore costs two events (arrival and delivery), and every
 piece of network state is local to exactly one node: transmit clocks to
-the sender, receive clocks to the receiver.  That locality is what lets
-the sharded runtime (:mod:`repro.sim.shard`) partition nodes across
-processes — a cross-shard message carries only its arrival time and
-event key, never shared clock state.
+the sender, receive clocks to the receiver.  The arrival event
+re-anchors the engine's owner context to the receiver (see
+:meth:`Fabric._receive`), so the events a delivery causes are keyed by
+the receiver's counters — the baselined ``(time, owner, seq)`` order.
 
 Point-to-point FIFO needs no explicit bookkeeping here: per (src, dst)
 pair, arrival times are strictly increasing (the sender's transmit queue
@@ -140,26 +140,17 @@ class Fabric:
             tx_start = now
         tx_done = tx_start + size
         tx_free[src] = tx_done
-        arrival = tx_done + self._transit[src * self._n_nodes + msg.dst]
-        self._schedule_arrival(msg, arrival)
-
-    def _schedule_arrival(self, msg: Message, arrival: int) -> None:
-        """Schedule ``msg``'s arrival at its destination.
-
-        Overridden by the sharded fabric: a cross-shard message's
-        arrival event is shipped (with its sender-allocated key) to the
-        shard that owns the destination instead of the local heap.
-        """
-        self.sim.at(arrival, partial(self._receive, msg))
+        self.sim.at(tx_done + self._transit[src * self._n_nodes + msg.dst],
+                    partial(self._receive, msg))
 
     def _receive(self, msg: Message) -> None:
         """``msg`` arrived at its destination's receive queue.
 
-        Runs at the arrival time, on the destination node's shard.  The
-        simulation context is re-anchored to the destination: every
-        event this delivery causes is keyed by the receiver's counters,
-        which is what keeps cross-shard execution byte-identical to the
-        serial engine.
+        Runs at the arrival time.  The simulation context is
+        re-anchored to the destination: every event this delivery
+        causes is keyed by the receiver's counters.  That is the
+        baselined serial event order; every committed result depends
+        on it.
         """
         sim = self.sim
         dst = msg.dst

@@ -28,6 +28,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.analysis.experiments import APPLICATIONS
 from repro.analysis.reportgen import ANALYZE_DEFAULTS, analyze_config
+from repro.common.errors import ConfigurationError
 from repro.core.spec import ProtocolSpec
 from repro.exec.jobs import SimJob, make_job
 from repro.workloads.base import Workload
@@ -130,6 +131,15 @@ def _kwargs_field(doc: Mapping[str, Any],
     return dict(kwargs)
 
 
+def _make_job(*args: Any, **kwargs: Any) -> SimJob:
+    """:func:`make_job`, reporting an impossible machine (say, a node
+    count that is not a square) as a :class:`SpecError`."""
+    try:
+        return make_job(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise SpecError(str(exc)) from None
+
+
 def job_from_spec(doc: Any) -> SimJob:
     """Turn a ``POST /jobs`` body into a :class:`SimJob`.
 
@@ -145,7 +155,7 @@ def job_from_spec(doc: Any) -> SimJob:
         known = ", ".join(registry)
         raise SpecError(f"unknown workload {name!r} (known: {known})")
     workload_cls = registry[name]
-    return make_job(
+    return _make_job(
         workload_cls,
         _kwargs_field(doc, workload_cls),
         protocol=_protocol_field(doc, "DirnH5SNB"),
@@ -198,7 +208,7 @@ def analyze_request(doc: Any) -> Tuple[SimJob, Dict[str, Any]]:
                                   "iterations": iterations}
     else:
         kwargs = {}
-    job = make_job(
+    job = _make_job(
         registry[app],
         kwargs,
         protocol=protocol,

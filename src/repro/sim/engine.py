@@ -10,15 +10,10 @@ scheduled them.  Determinism is a headline property of NWO (the
 paper's simulator) and we preserve it — every experiment in this
 repository is exactly reproducible.
 
-The owner-local key is what makes parallel-in-time sharding possible
-(:mod:`repro.sim.shard`): a shard that owns a subset of nodes
-allocates exactly the sequence numbers the serial engine would have
-allocated for those nodes, so event keys — and therefore tie-break
-order — are identical whether the machine runs in one process or
-many.  A global sequence counter could not be reproduced shard-locally
-(its value depends on the interleaving of *all* nodes' activity);
-per-owner counters depend only on the owner's own deterministic
-history.
+The owner-local key is the baselined serial semantics: every committed
+result and fixture was recorded under it, so the tie-break order stays
+exactly as it is.  A change to it would be a separate, documented
+re-baseline of every experiment.
 """
 
 from __future__ import annotations
@@ -46,10 +41,6 @@ class Simulator:
         #: loops set it from each event's key; the fabric sets it to a
         #: message's destination when delivery processing begins.
         self.current_owner = 0
-        #: Full key of the event currently executing under
-        #: :meth:`run_window` — shard-mode bookkeeping used to tag
-        #: observability records for deterministic cross-shard merging.
-        self.current_key: Tuple[int, int, int] = (0, 0, 0)
         self._owner_seq: Dict[int, int] = {}
         self._heap: List[Event] = []
         self._running = False
@@ -63,19 +54,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-
-    def alloc_seq(self, owner: int) -> int:
-        """Allocate the next sequence number for ``owner``.
-
-        Exposed for the sharded fabric, which must burn the sender-side
-        sequence number for a cross-shard message locally (keeping the
-        sender's counter bit-identical to the serial engine's) and ship
-        the finished key to the destination shard for :meth:`post`.
-        """
-        seqs = self._owner_seq
-        seq = seqs.get(owner, 0) + 1
-        seqs[owner] = seq
-        return seq
 
     def at(self, time: int, fn: Callable[[], None],
            owner: Optional[int] = None) -> None:
@@ -105,22 +83,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self.at(self.now + delay, fn, owner)
-
-    def post(self, time: int, owner: int, seq: int,
-             fn: Callable[[], None]) -> None:
-        """Insert an event under a pre-allocated ``(time, owner, seq)``.
-
-        Shard-mode injection: a cross-shard message arrives with the
-        exact key its sender allocated (via :meth:`alloc_seq`), so the
-        destination shard's heap orders it precisely where the serial
-        engine would have.  The local counter for ``owner`` is *not*
-        advanced — the owning shard already did.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot post event in the past ({time} < {self.now})"
-            )
-        heapq.heappush(self._heap, (time, owner, seq, fn))
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -207,37 +169,6 @@ class Simulator:
         finally:
             self._running = False
         return self.now
-
-    def run_window(self, limit: int) -> int:
-        """Run every queued event with ``time < limit``; return the
-        number executed.
-
-        The shard loop: a shard advances through one conservative time
-        window, then synchronises at the window barrier
-        (:mod:`repro.sim.shard`).  Events at or beyond ``limit`` stay
-        queued for later windows.  Each executed event's full key is
-        published in :attr:`current_key` so observability records
-        emitted during it can be tagged for deterministic merging.
-        """
-        if self._running:
-            raise SimulationError("run_window() is not reentrant")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        try:
-            while heap and not self._stopped:
-                if heap[0][0] >= limit:
-                    break
-                time, owner, seq, fn = pop(heap)
-                self.now = time
-                self.current_owner = owner
-                self.current_key = (time, owner, seq)
-                fn()
-                executed += 1
-        finally:
-            self._running = False
-        return executed
 
     @property
     def next_event_time(self) -> Optional[int]:

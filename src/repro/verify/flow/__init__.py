@@ -1,40 +1,14 @@
 """Dataflow analyses over Python ASTs (the ``repro check --flow`` layer).
 
-The runtime A/B gates (17-config compiled-vs-interpreted equivalence,
-sharded-vs-serial byte-identity) prove the configurations we happened to
-run.  This package makes the same claims *statically and totally*:
+The per-statement determinism linter (:mod:`repro.verify.lint`) flags
+hazard *sites*; this package tracks hazard *values* through a module:
 
 - :mod:`repro.verify.flow.cfg` — control-flow graphs over function ASTs,
-- :mod:`repro.verify.flow.absint` — an abstract-value lattice, a
-  worklist solver, and a structural abstract interpreter,
-- :mod:`repro.verify.flow.transval` — translation validation: every
-  generated dispatch module is proven row-for-row equivalent to its
-  source protocol table,
-- :mod:`repro.verify.flow.shardsafe` — purity/escape inference that
-  checks each workload's declared ``shard_safe`` flag,
-- :mod:`repro.verify.flow.taint` — the dataflow upgrade of the
-  per-statement determinism linter.
+- :mod:`repro.verify.flow.absint` — a forward worklist solver over
+  those graphs,
+- :mod:`repro.verify.flow.taint` — the taint determinism analysis,
+  run by :func:`~repro.verify.flow.taint.run_taint`.
 
-All passes emit :class:`repro.verify.report.Finding`s and aggregate
-into one :class:`repro.verify.report.Report` via :func:`run_flow`.
+Its findings share the :mod:`repro.verify.report` types with every
+other ``repro check`` pass.
 """
-
-from __future__ import annotations
-
-from repro.verify.report import Report
-
-__all__ = ["run_flow"]
-
-
-def run_flow() -> Report:
-    """Run translation validation, shard-safety inference, and the
-    taint determinism analysis; aggregate into one report."""
-    from repro.verify.flow.shardsafe import run_shardsafe
-    from repro.verify.flow.taint import run_taint
-    from repro.verify.flow.transval import run_transval
-
-    report = Report()
-    report.extend(run_transval())
-    report.extend(run_shardsafe())
-    report.extend(run_taint())
-    return report

@@ -1,163 +1,20 @@
-"""Abstract interpretation primitives shared by the flow passes.
+"""Forward dataflow solver for the flow analyses.
 
-Three layers, each consumed by at least one pass:
-
-- :class:`AbsVal`, an abstract value carrying *may*-taint sources
-  (joined by union), *must*-capabilities (joined by intersection —
-  e.g. "this value is node-private"), per-element precision for
-  tuples, a joined element summary for other containers, a separate
-  *structure* taint (what the container's length/order depends on,
-  as opposed to its elements), and an opaque ``ref`` payload that
-  subclass analyses use for alias tracking.
-- :func:`solve_forward`, a worklist fixpoint solver over
-  :class:`~repro.verify.flow.cfg.CFG` blocks (used by the taint
-  determinism analysis).
-- :class:`StructuralInterpreter`, an abstract interpreter that walks a
-  function body structurally — branch joins, loop fixpoints, a
-  control-dependence context — with hook methods for names, attribute
-  and subscript reads, stores, calls, and yields (used by the
-  shard-safety inference, which layers method inlining on top).
-
-Nothing here knows about protocols or workloads; the passes encode
-their policies entirely through the hooks.
+:func:`solve_forward` is a worklist fixpoint solver over
+:class:`~repro.verify.flow.cfg.CFG` blocks; the taint determinism
+analysis (:mod:`repro.verify.flow.taint`) supplies the state lattice
+through its callbacks.  Nothing here knows about protocols or
+workloads.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.verify.flow.cfg import CFG, Unit
 
-__all__ = ["AbsVal", "CLEAN", "join_env", "solve_forward",
-           "StructuralInterpreter"]
+__all__ = ["solve_forward"]
 
-_EMPTY: FrozenSet[str] = frozenset()
-
-#: joins deeper than this collapse nested element structure
-_MAX_DEPTH = 4
-
-
-class AbsVal:
-    """One abstract value.  Immutable; compose with :meth:`join`."""
-
-    __slots__ = ("sources", "caps", "elems", "elem", "struct", "ref")
-
-    def __init__(self,
-                 sources: FrozenSet[str] = _EMPTY,
-                 caps: FrozenSet[str] = _EMPTY,
-                 elems: Optional[Tuple["AbsVal", ...]] = None,
-                 elem: Optional["AbsVal"] = None,
-                 struct: FrozenSet[str] = _EMPTY,
-                 ref: object = None) -> None:
-        self.sources = sources
-        self.caps = caps
-        self.elems = elems
-        self.elem = elem
-        self.struct = struct
-        self.ref = ref
-
-    # -- lattice ------------------------------------------------------
-
-    def total(self) -> FrozenSet[str]:
-        """Every source this value may carry, elements included."""
-        out = self.sources | self.struct
-        if self.elems is not None:
-            for e in self.elems:
-                out |= e.total()
-        if self.elem is not None:
-            out |= self.elem.total()
-        return out
-
-    def collapse(self) -> "AbsVal":
-        """Forget structure; keep the union of all sources."""
-        return AbsVal(sources=self.total(), caps=self.caps)
-
-    def join(self, other: "AbsVal", depth: int = 0) -> "AbsVal":
-        if self is other:
-            return self
-        if depth >= _MAX_DEPTH:
-            return AbsVal(sources=self.total() | other.total(),
-                          caps=self.caps & other.caps)
-        elems: Optional[Tuple[AbsVal, ...]] = None
-        if (self.elems is not None and other.elems is not None
-                and len(self.elems) == len(other.elems)):
-            elems = tuple(a.join(b, depth + 1)
-                          for a, b in zip(self.elems, other.elems))
-            spill = _EMPTY
-        else:
-            # Mismatched shapes: spill element sources into the value.
-            spill = _EMPTY
-            for side in (self, other):
-                if side.elems is not None and (
-                        self.elems is None or other.elems is None
-                        or len(self.elems) != len(other.elems)):
-                    for e in side.elems:
-                        spill |= e.total()
-        # ``elem is None`` is bottom (no element summary yet), so it is
-        # the join identity — substituting a clean *scalar* here would
-        # wrongly spill tuple-element structure on the first join.
-        elem: Optional[AbsVal] = None
-        if self.elem is not None and other.elem is not None:
-            elem = self.elem.join(other.elem, depth + 1)
-        elif self.elem is not None or other.elem is not None:
-            elem = self.elem if self.elem is not None else other.elem
-        return AbsVal(
-            sources=self.sources | other.sources | spill,
-            caps=self.caps & other.caps,
-            elems=elems,
-            elem=elem,
-            struct=self.struct | other.struct,
-            ref=self.ref if self.ref == other.ref else None,
-        )
-
-    def with_(self, **kw: object) -> "AbsVal":
-        fields = {slot: getattr(self, slot) for slot in self.__slots__}
-        fields.update(kw)
-        return AbsVal(**fields)  # type: ignore[arg-type]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, AbsVal)
-                and self.sources == other.sources
-                and self.caps == other.caps
-                and self.elems == other.elems
-                and self.elem == other.elem
-                and self.struct == other.struct
-                and self.ref == other.ref)
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as key
-        return hash((self.sources, self.caps, self.struct))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bits = []
-        if self.sources:
-            bits.append("sources=" + ",".join(sorted(self.sources)))
-        if self.caps:
-            bits.append("caps=" + ",".join(sorted(self.caps)))
-        if self.struct:
-            bits.append("struct=" + ",".join(sorted(self.struct)))
-        if self.ref is not None:
-            bits.append(f"ref={self.ref!r}")
-        return f"AbsVal({' '.join(bits) or 'clean'})"
-
-
-CLEAN = AbsVal()
-
-Env = Dict[str, AbsVal]
-
-
-def join_env(a: Env, b: Env) -> Env:
-    """Pointwise join; a name bound on one side only keeps that value."""
-    out = dict(a)
-    for name, val in b.items():
-        cur = out.get(name)
-        out[name] = val if cur is None else cur.join(val)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Worklist solver over CFG blocks
-# ----------------------------------------------------------------------
 
 def solve_forward(
     cfg: CFG,
@@ -199,409 +56,3 @@ def solve_forward(
         if not changed:
             return in_states, out_states
     return in_states, out_states  # widened by the pass cap
-
-
-# ----------------------------------------------------------------------
-# Structural abstract interpreter
-# ----------------------------------------------------------------------
-
-#: receiver methods that mutate a container in place
-_MUTATORS = {"append", "extend", "add", "insert", "update", "setdefault",
-             "clear", "pop", "popitem", "remove", "discard", "sort",
-             "reverse", "__setitem__"}
-
-#: mutators that also fold an argument into the container's elements
-_GROWERS = {"append", "add", "insert", "extend", "update", "setdefault"}
-
-#: maximum loop-body refinement passes before giving up on a fixpoint
-_LOOP_PASSES = 6
-
-
-class StructuralInterpreter:
-    """Abstract interpreter over one function body.
-
-    Subclasses override the ``eval_name`` / ``read_attribute`` /
-    ``read_subscript`` / ``store`` / ``eval_call`` / ``on_yield`` /
-    ``on_jump`` hooks; the base class owns environments, joins, loop
-    fixpoints and the control-dependence context.
-    """
-
-    def __init__(self) -> None:
-        self.env: Env = {}
-        self.control: List[FrozenSet[str]] = []
-        #: taint governing the *shape* of this function's output stream
-        #: (early exits under tainted control in a generator)
-        self.struct_taint: FrozenSet[str] = _EMPTY
-        self.returns: List[AbsVal] = []
-
-    # -- hooks (subclass API) -----------------------------------------
-
-    def eval_name(self, node: ast.Name) -> AbsVal:
-        """An unbound name: module global / builtin.  Default clean."""
-        return CLEAN
-
-    def read_attribute(self, node: ast.Attribute, base: AbsVal) -> AbsVal:
-        """Attribute read.  Default: the base's scalar taint."""
-        return AbsVal(sources=base.sources | base.struct)
-
-    def read_subscript(self, node: ast.Subscript, base: AbsVal,
-                       index: AbsVal) -> AbsVal:
-        """Subscript read.  Default: one element of the base."""
-        out = self.iter_element(base)
-        extra = index.total()
-        return out if not extra else out.with_(sources=out.sources | extra)
-
-    def store(self, target: ast.expr, value: AbsVal) -> None:
-        """Store through an attribute or subscript.  Default no-op."""
-
-    def on_method_call(self, node: ast.Call, base: AbsVal,
-                       args: List[AbsVal]) -> Optional[AbsVal]:
-        """A ``<expr>.method(...)`` call on a non-local receiver.
-        Return an AbsVal to handle it, or None for the default."""
-        return None
-
-    def eval_call(self, node: ast.Call, args: List[AbsVal]) -> AbsVal:
-        """A non-method call.  Default: join of the argument taints."""
-        sources = _EMPTY
-        for a in args:
-            sources |= a.total()
-        return AbsVal(sources=sources)
-
-    def on_yield(self, node: ast.AST, value: AbsVal) -> None:
-        """A ``yield`` in the interpreted body."""
-
-    # -- control-dependence context -----------------------------------
-
-    def control_taint(self) -> FrozenSet[str]:
-        out = _EMPTY
-        for sources in self.control:
-            out |= sources
-        return out
-
-    # -- driver -------------------------------------------------------
-
-    def run(self, body: List[ast.stmt]) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt)
-
-    # -- statements ---------------------------------------------------
-
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value)
-            for target in stmt.targets:
-                self.assign(target, value)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self.assign(stmt.target, self.eval(stmt.value))
-        elif isinstance(stmt, ast.AugAssign):
-            value = self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                cur = self.env.get(stmt.target.id, CLEAN)
-                self.env[stmt.target.id] = AbsVal(
-                    sources=cur.total() | value.total(), caps=cur.caps)
-            else:
-                # Re-reading the target is implicit; only the store
-                # side is interesting to the hooks.
-                self.eval(stmt.target)
-                self.store(stmt.target, value)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            value = CLEAN if stmt.value is None else self.eval(stmt.value)
-            self.returns.append(value)
-            self.on_jump(stmt)
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Raise)):
-            if isinstance(stmt, ast.Raise) and stmt.exc is not None:
-                self.eval(stmt.exc)
-            self.on_jump(stmt)
-        elif isinstance(stmt, ast.If):
-            cond = self.eval(stmt.test)
-            self.control.append(cond.total())
-            try:
-                before = dict(self.env)
-                self.run(stmt.body)
-                after_then = self.env
-                self.env = before
-                if stmt.orelse:
-                    self.env = dict(before)
-                    self.run(stmt.orelse)
-                self.env = join_env(after_then, self.env)
-            finally:
-                self.control.pop()
-        elif isinstance(stmt, ast.While):
-            self._loop(cond_expr=stmt.test, target=None, iter_expr=None,
-                       body=stmt.body, orelse=stmt.orelse)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._loop(cond_expr=None, target=stmt.target,
-                       iter_expr=stmt.iter, body=stmt.body,
-                       orelse=stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            before = dict(self.env)
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-            merged = self.env
-            for handler in stmt.handlers:
-                self.env = dict(before)
-                self.run(handler.body)
-                merged = join_env(merged, self.env)
-            self.env = merged
-            self.run(stmt.finalbody)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                value = self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self.assign(item.optional_vars, value)
-            self.run(stmt.body)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            self.env[stmt.name] = CLEAN
-        elif isinstance(stmt, ast.Assert):
-            self.eval(stmt.test)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.env.pop(target.id, None)
-        # Pass / Import / Global / Nonlocal: no dataflow effect.
-
-    def on_jump(self, stmt: ast.stmt) -> None:
-        """Early exit (break/continue/return/raise).  If it happens
-        under tainted control inside a generator, the *shape* of the
-        op stream depends on that taint."""
-        taint = self.control_taint()
-        if taint:
-            self.struct_taint |= taint
-
-    def _loop(self, cond_expr: Optional[ast.expr],
-              target: Optional[ast.expr], iter_expr: Optional[ast.expr],
-              body: List[ast.stmt], orelse: List[ast.stmt]) -> None:
-        for _ in range(_LOOP_PASSES):
-            before = dict(self.env)
-            if cond_expr is not None:
-                control = self.eval(cond_expr).total()
-            else:
-                iterable = self.eval(iter_expr)  # type: ignore[arg-type]
-                control = iterable.struct | iterable.sources
-                if target is not None:
-                    self.assign(target, self.iter_element(iterable))
-            self.control.append(control)
-            try:
-                self.run(body)
-            finally:
-                self.control.pop()
-            self.env = join_env(before, self.env)
-            if self.env == before:
-                break
-        self.run(orelse)
-
-    # -- assignment ---------------------------------------------------
-
-    def assign(self, target: ast.expr, value: AbsVal) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elts = target.elts
-            if (value.elems is not None
-                    and len(value.elems) == len(elts)
-                    and not any(isinstance(e, ast.Starred) for e in elts)):
-                for sub, sub_val in zip(elts, value.elems):
-                    self.assign(sub, sub_val)
-            else:
-                each = self.iter_element(value)
-                for sub in elts:
-                    if isinstance(sub, ast.Starred):
-                        self.assign(sub.value,
-                                    AbsVal(sources=each.total(),
-                                           elem=each))
-                    else:
-                        self.assign(sub, each)
-        elif isinstance(target, ast.Starred):
-            self.assign(target.value, value)
-        else:
-            self.store(target, value)
-
-    # -- expressions --------------------------------------------------
-
-    def iter_element(self, val: AbsVal) -> AbsVal:
-        """One element of ``val`` when iterated or indexed."""
-        if val.elems is not None:
-            out: Optional[AbsVal] = None
-            for e in val.elems:
-                out = e if out is None else out.join(e)
-            return out if out is not None else CLEAN
-        if val.elem is not None:
-            return val.elem
-        return AbsVal(sources=val.sources, caps=val.caps)
-
-    def eval(self, node: ast.expr) -> AbsVal:
-        method = getattr(self, "_eval_" + type(node).__name__,
-                         self._eval_generic)
-        return method(node)
-
-    def _eval_generic(self, node: ast.expr) -> AbsVal:
-        sources = _EMPTY
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                sources |= self.eval(child).total()
-        return AbsVal(sources=sources)
-
-    def _eval_Constant(self, node: ast.Constant) -> AbsVal:
-        return CLEAN
-
-    def _eval_Name(self, node: ast.Name) -> AbsVal:
-        val = self.env.get(node.id)
-        return val if val is not None else self.eval_name(node)
-
-    def _eval_Tuple(self, node: ast.Tuple) -> AbsVal:
-        if any(isinstance(e, ast.Starred) for e in node.elts):
-            return self._eval_generic(node)
-        return AbsVal(elems=tuple(self.eval(e) for e in node.elts))
-
-    def _eval_List(self, node: ast.List) -> AbsVal:
-        elem: Optional[AbsVal] = None
-        for e in node.elts:
-            v = self.eval(e)
-            elem = v if elem is None else elem.join(v)
-        return AbsVal(elem=elem)
-
-    _eval_Set = _eval_List
-
-    def _eval_Dict(self, node: ast.Dict) -> AbsVal:
-        elem: Optional[AbsVal] = None
-        for key in node.keys:
-            if key is not None:
-                v = self.eval(key)
-                elem = v if elem is None else elem.join(v)
-        for value in node.values:
-            v = self.eval(value)
-            elem = v if elem is None else elem.join(v)
-        return AbsVal(elem=elem)
-
-    def _scalar(self, *vals: AbsVal) -> AbsVal:
-        sources = _EMPTY
-        for v in vals:
-            sources |= v.total()
-        return AbsVal(sources=sources)
-
-    def _eval_BinOp(self, node: ast.BinOp) -> AbsVal:
-        return self._scalar(self.eval(node.left), self.eval(node.right))
-
-    def _eval_UnaryOp(self, node: ast.UnaryOp) -> AbsVal:
-        return self._scalar(self.eval(node.operand))
-
-    def _eval_BoolOp(self, node: ast.BoolOp) -> AbsVal:
-        return self._scalar(*[self.eval(v) for v in node.values])
-
-    def _eval_Compare(self, node: ast.Compare) -> AbsVal:
-        return self._scalar(self.eval(node.left),
-                            *[self.eval(c) for c in node.comparators])
-
-    def _eval_IfExp(self, node: ast.IfExp) -> AbsVal:
-        cond = self.eval(node.test)
-        out = self.eval(node.body).join(self.eval(node.orelse))
-        if cond.total():
-            out = out.with_(sources=out.sources | cond.total())
-        return out
-
-    def _eval_Attribute(self, node: ast.Attribute) -> AbsVal:
-        return self.read_attribute(node, self.eval(node.value))
-
-    def _eval_Subscript(self, node: ast.Subscript) -> AbsVal:
-        base = self.eval(node.value)
-        if isinstance(node.slice, ast.Slice):
-            # A slice of a container is a container of the same shape.
-            for part in (node.slice.lower, node.slice.upper,
-                         node.slice.step):
-                if part is not None:
-                    self.eval(part)
-            return base.with_(elems=None,
-                              elem=self.iter_element(base))
-        return self.read_subscript(node, base, self.eval(node.slice))
-
-    def _eval_Call(self, node: ast.Call) -> AbsVal:
-        args = [self.eval(a) for a in node.args
-                if not isinstance(a, ast.Starred)]
-        args += [self.eval(a.value) for a in node.args
-                 if isinstance(a, ast.Starred)]
-        args += [self.eval(kw.value) for kw in node.keywords]
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            # Local-container mutation is generic enough to live here:
-            # ``xs.append(v)`` folds v into xs' element summary.
-            if (isinstance(func.value, ast.Name)
-                    and func.value.id in self.env
-                    and func.attr in _MUTATORS):
-                name = func.value.id
-                cur = self.env[name]
-                elem = cur.elem
-                if func.attr in _GROWERS:
-                    for a in args:
-                        grown = (self.iter_element(a)
-                                 if func.attr in ("extend", "update")
-                                 else a)
-                        elem = grown if elem is None else elem.join(grown)
-                self.env[name] = cur.with_(
-                    elems=None, elem=elem,
-                    struct=cur.struct | self.control_taint())
-                if func.attr in ("pop", "popitem"):
-                    return elem if elem is not None else CLEAN
-                return CLEAN
-            base = self.eval(func.value)
-            handled = self.on_method_call(node, base, args)
-            if handled is not None:
-                return handled
-            return self._scalar(base, *args)
-        return self.eval_call(node, args)
-
-    def _eval_Yield(self, node: ast.Yield) -> AbsVal:
-        value = CLEAN if node.value is None else self.eval(node.value)
-        self.on_yield(node, value)
-        return CLEAN
-
-    def _eval_YieldFrom(self, node: ast.YieldFrom) -> AbsVal:
-        iterable = self.eval(node.value)
-        self.struct_taint |= iterable.struct
-        self.on_yield(node, self.iter_element(iterable))
-        return CLEAN
-
-    def _eval_Await(self, node: ast.Await) -> AbsVal:
-        return self.eval(node.value)
-
-    def _eval_Lambda(self, node: ast.Lambda) -> AbsVal:
-        return CLEAN
-
-    def _eval_Starred(self, node: ast.Starred) -> AbsVal:
-        return self.eval(node.value)
-
-    def _eval_ListComp(self, node: ast.ListComp) -> AbsVal:
-        return self._comprehension(node, [node.elt])
-
-    _eval_SetComp = _eval_ListComp
-    _eval_GeneratorExp = _eval_ListComp
-
-    def _eval_DictComp(self, node: ast.DictComp) -> AbsVal:
-        return self._comprehension(node, [node.key, node.value])
-
-    def _comprehension(self, node: ast.expr,
-                       elts: List[ast.expr]) -> AbsVal:
-        saved = dict(self.env)
-        struct = _EMPTY
-        pushed = 0
-        try:
-            for gen in node.generators:  # type: ignore[attr-defined]
-                iterable = self.eval(gen.iter)
-                struct |= iterable.struct | iterable.sources
-                self.assign(gen.target, self.iter_element(iterable))
-                for cond in gen.ifs:
-                    struct |= self.eval(cond).total()
-                self.control.append(struct)
-                pushed += 1
-            elem: Optional[AbsVal] = None
-            for e in elts:
-                v = self.eval(e)
-                elem = v if elem is None else elem.join(v)
-        finally:
-            for _ in range(pushed):
-                self.control.pop()
-        self.env = saved
-        return AbsVal(elem=elem, struct=struct)

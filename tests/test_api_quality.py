@@ -30,11 +30,9 @@ MODULES = [
     "repro.core",
     "repro.core.cache_ctrl",
     "repro.core.directory",
-    "repro.core.home",
     "repro.core.messages",
     "repro.core.protocol",
     "repro.core.protocol.backends",
-    "repro.core.protocol.compile",
     "repro.core.protocol.engine",
     "repro.core.protocol.invariants",
     "repro.core.protocol.render",
@@ -75,18 +73,14 @@ MODULES = [
     "repro.serve.specs",
     "repro.sim",
     "repro.sim.engine",
-    "repro.sim.shard",
     "repro.sim.stats",
     "repro.sim.trace",
-    "repro.sim.windows",
     "repro.verify",
     "repro.verify.abstract",
     "repro.verify.flow",
     "repro.verify.flow.absint",
     "repro.verify.flow.cfg",
-    "repro.verify.flow.shardsafe",
     "repro.verify.flow.taint",
-    "repro.verify.flow.transval",
     "repro.verify.lint",
     "repro.verify.modelcheck",
     "repro.verify.report",

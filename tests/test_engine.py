@@ -90,70 +90,6 @@ class TestOwnerKeys:
         sim.run()
         assert owners == [3, 3]
 
-    def test_post_reproduces_an_allocated_key(self):
-        # Two engines, same schedule: one allocates locally, the other
-        # receives the key via post(); both must order identically.
-        a, b = Simulator(), Simulator()
-        out_a, out_b = [], []
-        seq = a.alloc_seq(5)
-        a.post(4, 5, seq, lambda: out_a.append("x"))
-        a.at(4, lambda: out_a.append("y"), owner=6)
-        b.at(4, lambda: out_b.append("x"), owner=5)
-        b.at(4, lambda: out_b.append("y"), owner=6)
-        a.run()
-        b.run()
-        assert out_a == out_b == ["x", "y"]
-
-    def test_post_does_not_advance_local_counter(self):
-        sim = Simulator()
-        sim.post(1, 9, 17, lambda: None)
-        assert sim._owner_seq.get(9, 0) == 0
-
-    def test_post_in_past_rejected(self):
-        sim = Simulator()
-        sim.at(10, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.post(5, 0, 1, lambda: None)
-
-    def test_run_window_executes_strictly_before_limit(self):
-        sim = Simulator()
-        fired = []
-        for t in (0, 3, 4, 9):
-            sim.at(t, lambda t=t: fired.append(t))
-        executed = sim.run_window(4)
-        assert fired == [0, 3]
-        assert executed == 2
-        assert sim.pending_events == 2
-        assert sim.next_event_time == 4
-        executed = sim.run_window(100)
-        assert fired == [0, 3, 4, 9]
-        assert executed == 2
-        assert sim.next_event_time is None
-
-    def test_run_window_publishes_current_key(self):
-        sim = Simulator()
-        keys = []
-        sim.at(2, lambda: keys.append(sim.current_key), owner=4)
-        sim.run_window(10)
-        assert keys == [(2, 4, 1)]
-
-    def test_serial_run_matches_windowed_run(self):
-        def build():
-            sim = Simulator()
-            out = []
-            for i, (t, owner) in enumerate(
-                    [(5, 1), (5, 0), (2, 3), (5, 1), (9, 0)]):
-                sim.at(t, lambda i=i: out.append((sim.now, i)), owner=owner)
-            return sim, out
-
-        serial, out_serial = build()
-        serial.run()
-        windowed, out_windowed = build()
-        for limit in (3, 6, 12):
-            windowed.run_window(limit)
-        assert out_serial == out_windowed
-
 
 class TestRunControl:
     def test_until_leaves_later_events_queued(self):

@@ -1,11 +1,8 @@
-"""Dispatch edge cases, identical under both engine modes.
+"""Dispatch edge cases of the table-interpreting protocol engine.
 
-The protocol engine has two executions of the same table — the
-interpreted reference walk and the exec-compiled specialized code
-(:mod:`repro.core.protocol.compile`).  These tests pin the corners of
-row *selection* where the two implementations could plausibly diverge,
-parametrized over all three directory backends and both dispatch
-modes:
+These tests pin the corners of row *selection* in
+:class:`~repro.core.protocol.engine.HomeProtocolEngine`, parametrized
+over all three directory backends:
 
 - ``when_missing`` selection: a ``get``-policy event for a block with
   no directory entry sees only the wildcard rows (and an ``ignore``
@@ -37,13 +34,12 @@ PROTOCOLS = {
 }
 HW_BACKENDS = ["full_map", "limited"]
 ALL_BACKENDS = list(PROTOCOLS)
-DISPATCH_PARAMS = ["compiled", "interpreted"]
 
 
-def _home(backend: str, dispatch: str):
+def _home(backend: str):
     """A 4-node machine's node 0 plus a data block it is home for."""
     machine = Machine(MachineParams(n_nodes=4),
-                      protocol=PROTOCOLS[backend], dispatch=dispatch)
+                      protocol=PROTOCOLS[backend])
     node = machine.nodes[0]
     block = machine.params.code_region_blocks + 8
     assert machine.params.home_of_block(block) == 0
@@ -55,23 +51,21 @@ def _msg(kind: str, src: int, block: int) -> Message:
                    payload=ProtoPayload(block=block, requester=src))
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", HW_BACKENDS)
-def test_when_missing_ignore_fallback(backend, dispatch):
+def test_when_missing_ignore_fallback(backend):
     """relinq (get + ignore) on an absent entry is swallowed whole: no
     rows match, no entry is created, nothing is sent."""
-    node, block = _home(backend, dispatch)
+    node, block = _home(backend)
     sent_before = sum(node.stats.messages_sent.values())
     node.home.handle(_msg("relinq", 1, block))
     assert block not in node.home.entries
     assert sum(node.stats.messages_sent.values()) == sent_before
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
-def test_when_missing_wildcard_guard_fires(dispatch):
+def test_when_missing_wildcard_guard_fires():
     """The software-only flush_ack row is a wildcard whose guard
     tolerates ``entry=None`` — it must be selected for an absent entry."""
-    node, block = _home("software_only", dispatch)
+    node, block = _home("software_only")
     backend = node.home.backend
     backend._flush_acks[block] = 2
     node.home.handle(_msg("ack", 1, block))
@@ -81,23 +75,21 @@ def test_when_missing_wildcard_guard_fires(dispatch):
     assert block not in backend._flush_acks
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_strict_no_rule_on_missing_entry(backend, dispatch):
+def test_strict_no_rule_on_missing_entry(backend):
     """ack (get + error) with no entry and no matching wildcard row
     must raise through the backend's no_rule hook."""
-    node, block = _home(backend, dispatch)
+    node, block = _home(backend)
     with pytest.raises(ProtocolStateError):
         node.home.handle(_msg("ack", 1, block))
     assert block not in node.home.entries
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_strict_no_rule_on_unmatched_state(backend, dispatch):
+def test_strict_no_rule_on_unmatched_state(backend):
     """fetch_data only has rows for transaction states; delivering it
     to a READ_ONLY entry must raise, not fall through silently."""
-    node, block = _home(backend, dispatch)
+    node, block = _home(backend)
     node.home.handle(_msg("rreq", 1, block))
     entry = node.home.entries[block]
     assert entry.state is DirState.READ_ONLY
@@ -105,13 +97,12 @@ def test_strict_no_rule_on_unmatched_state(backend, dispatch):
         node.home.handle(_msg("fetch_data", 1, block))
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", HW_BACKENDS)
-def test_wildcard_row_precedes_state_rows(backend, dispatch):
+def test_wildcard_row_precedes_state_rows(backend):
     """The hardware busy row is a wildcard declared *before* the
     READ_ONLY rows: with a software handler pending it must win over
     read_record even though the state-specific row also matches."""
-    node, block = _home(backend, dispatch)
+    node, block = _home(backend)
     node.home.handle(_msg("rreq", 1, block))
     entry = node.home.entries[block]
     assert entry.state is DirState.READ_ONLY
@@ -128,13 +119,12 @@ def test_wildcard_row_precedes_state_rows(backend, dispatch):
     assert entry.has_pointer(2)
 
 
-@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
-def test_wildcard_rows_keep_table_order(dispatch):
+def test_wildcard_rows_keep_table_order():
     """Two wildcard rreq rows in the software-only table: the guarded
     local fast path is declared first and must be tried first — the
     home's own first read takes no trap and leaves the remote-access
     bit clear."""
-    node, block = _home("software_only", dispatch)
+    node, block = _home("software_only")
     traps_before = sum(node.stats.traps.values())
     node.home.handle(_msg("rreq", 0, block))
     entry = node.home.entries[block]

@@ -202,3 +202,27 @@ class TestHandlerSampleCollection:
         stats = m.run(WorkerBenchmark(worker_set_size=4, iterations=1))
         assert stats.handler_samples == []
         assert stats.total_traps > 0
+
+
+class TestSerialOnly:
+    """The engine is serial; ``shards`` survives only as a keyword that
+    callers may pin to 1."""
+
+    def test_shards_one_is_accepted(self):
+        from repro.exec import JobRunner
+
+        stats = Machine(MachineParams(n_nodes=4), protocol="DirnH2SNB",
+                        shards=1).run(ScriptWorkload({0: [("compute", 7)]}))
+        assert stats.run_cycles == 7
+        assert JobRunner(jobs=1, shards=1).n_workers == 1
+
+    @pytest.mark.parametrize("shards", [0, 2, "auto"])
+    def test_other_shard_counts_are_rejected(self, shards):
+        from repro.exec import JobRunner
+
+        with pytest.raises(ConfigurationError, match="sharded execution "
+                                                     "was removed"):
+            Machine(MachineParams(n_nodes=4), shards=shards)
+        with pytest.raises(ConfigurationError, match="sharded execution "
+                                                     "was removed"):
+            JobRunner(jobs=1, shards=shards)

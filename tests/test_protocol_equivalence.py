@@ -9,12 +9,6 @@ behaviour-preserving across the whole spectrum — full-map, limited
 pointers with software extension, LACK/ACK variants, broadcast, and the
 software-only directory, plus the Section 7 enhancement paths.
 
-Every configuration runs under *both* dispatch modes — the exec-
-compiled per-table code and the interpreted reference engine
-(:mod:`repro.core.protocol.compile`) — so the fixture simultaneously
-gates the table refactor and the table compiler: compiled dispatch
-must match the interpreter cycle-for-cycle, digest-for-digest.
-
 Regenerate (only for *intentional* behaviour changes) with::
 
     PYTHONPATH=src python tools/gen_protocol_fixture.py
@@ -47,14 +41,13 @@ def _workload_for(config_id: str):
     return AdaptiveQuadrature()
 
 
-@pytest.mark.parametrize("dispatch", ["compiled", "interpreted"])
 @pytest.mark.parametrize(
     "entry", _FIXTURE["entries"], ids=[e["id"] for e in _FIXTURE["entries"]]
 )
-def test_byte_identical_with_prerefactor_controllers(entry, dispatch):
+def test_byte_identical_with_prerefactor_controllers(entry):
     kwargs = dict(entry["machine"])
     machine = Machine(MachineParams(n_nodes=_FIXTURE["n_nodes"]),
-                      dispatch=dispatch, **kwargs)
+                      **kwargs)
     stats = machine.run(_workload_for(entry["id"]))
     assert stats.run_cycles == entry["run_cycles"], entry["id"]
     assert stats.total_traps == entry["total_traps"], entry["id"]

@@ -85,6 +85,10 @@ class TestJobSpecs:
     def test_bad_types_rejected(self):
         with pytest.raises(SpecError, match="nodes"):
             job_from_spec(dict(TINY_SPEC, nodes="four"))
+        with pytest.raises(SpecError, match="nodes"):
+            job_from_spec(dict(TINY_SPEC, nodes=3))
+        with pytest.raises(SpecError, match="nodes"):
+            analyze_request({"nodes": 3})
         with pytest.raises(SpecError, match="victim_cache"):
             job_from_spec(dict(TINY_SPEC, victim_cache="yes"))
         with pytest.raises(SpecError, match="invalidation_mode"):

@@ -49,7 +49,7 @@ class TestTxnAssignment:
 
     def test_ids_are_node_striped(self):
         # Ids stride by n_nodes from node_id + 1: each node's sequence
-        # depends only on its own history (shard-invariant), and the
+        # depends only on its own history, and the
         # allocating node is recoverable as (id - 1) % n_nodes.
         machine, _stats, collector = traced_run()
         n = machine.params.n_nodes

@@ -11,7 +11,10 @@ against the committed record.  Measured quantities:
   simulation;
 - **drivers**: wall-clock of every experiment driver at the quick
   preset, three ways — serial (``--jobs 1``, cache off), parallel
-  (``--jobs auto``, cache off), and a warm-cache replay.
+  (``--jobs auto``, cache off), and a warm-cache replay;
+- **src_repro_lines**: total lines of ``src/repro/**/*.py``, tracked
+  next to the performance numbers so a mechanism's cost in code sits
+  beside its measured win.
 
 Usage::
 
@@ -112,55 +115,39 @@ MAX_BENCH_REPS = 50
 WORKER_MIN_SECONDS = 2.5
 
 
-def _worker_reference_once(dispatch: str) -> "tuple[float, int]":
+def _worker_reference_once() -> "tuple[float, int]":
     """One timed WORKER reference run; (seconds, run_cycles)."""
     t0 = time.perf_counter()
-    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB",
-                      dispatch=dispatch)
+    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB")
     stats = machine.run(WorkerBenchmark(worker_set_size=8, iterations=4))
     return time.perf_counter() - t0, stats.run_cycles
 
 
-def bench_worker_reference() -> "tuple[dict, dict]":
-    """Wall-clock of a reference software-heavy WORKER simulation,
-    A/B'd across both dispatch modes.
+def bench_worker_reference() -> dict:
+    """Wall-clock of a reference software-heavy WORKER simulation.
 
-    Repetitions *interleave* the two modes (alternating which goes
-    first) until each has accumulated :data:`WORKER_MIN_SECONDS` of
-    wall clock, and each mode reports its fastest repetition.  Running
-    one mode's repetitions back-to-back before the other's — the
-    obvious structure — is confounded on a busy host: wall clock
-    drifts over the benchmark's lifetime, so whichever mode runs later
-    inherits the drift as a fake (dis)advantage.  Interleaving spreads
-    the drift evenly; best-of-many then estimates each mode's
-    achievable rate.  (The first compiled repetition also carries the
-    one-time table-compilation cost, which best-of amortises away.)
+    Repeats until :data:`WORKER_MIN_SECONDS` of wall clock has
+    accumulated and reports the fastest repetition: wall clock drifts
+    on a busy host, and best-of-many is the stable estimator of the
+    achievable rate.
     """
-    modes = ("compiled", "interpreted")
-    best: dict = {mode: None for mode in modes}
-    totals = {mode: 0.0 for mode in modes}
+    best = None
+    total = 0.0
     cycles = 0
-    pairs = 0
-    while (min(totals.values()) < WORKER_MIN_SECONDS
-           and pairs < MAX_BENCH_REPS):
-        order = modes if pairs % 2 == 0 else tuple(reversed(modes))
-        for mode in order:
-            elapsed, cycles = _worker_reference_once(mode)
-            totals[mode] += elapsed
-            if best[mode] is None or elapsed < best[mode]:
-                best[mode] = elapsed
-        pairs += 1
-    return tuple(  # type: ignore[return-value]
-        {
-            "config": "WORKER ws=8 it=4, 16 nodes, DirnH5SNB",
-            "dispatch": mode,
-            "reps": pairs,
-            "seconds": best[mode],
-            "run_cycles": cycles,
-            "sim_cycles_per_sec": cycles / best[mode],
-        }
-        for mode in modes
-    )
+    reps = 0
+    while total < WORKER_MIN_SECONDS and reps < MAX_BENCH_REPS:
+        elapsed, cycles = _worker_reference_once()
+        total += elapsed
+        if best is None or elapsed < best:
+            best = elapsed
+        reps += 1
+    return {
+        "config": "WORKER ws=8 it=4, 16 nodes, DirnH5SNB",
+        "reps": reps,
+        "seconds": best,
+        "run_cycles": cycles,
+        "sim_cycles_per_sec": cycles / best,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -246,55 +233,18 @@ def bench_drivers(preset: str) -> dict:
     }
 
 
-def bench_shard_scaling(preset: str,
-                        shard_counts=(1, 2, 4)) -> dict:
-    """Wall clock of the fig5 sweep under the sharded engine.
-
-    Runs the identical plan at each ``--shards`` count through a fresh
-    serial runner (``--jobs 1``, cache off), so the only variable is
-    the per-job shard count.  The result maps must be byte-identical
-    across counts — the bench doubles as an end-to-end equivalence
-    gate and aborts on divergence rather than record a meaningless
-    speedup.
-
-    Speedups are honest for *this host*: on a single-core runner the
-    sharded engine pays window-barrier IPC for no parallelism and the
-    ratio sits below 1.0; the ISSUE's >= 1.5x target needs >= 4 cores.
-    """
-    plan = PLANNERS["fig5"](**reportgen.PRESETS[preset]["fig5"])
-    baseline_doc = None
-    per_shards = {}
-    for shards in shard_counts:
-        total = 0.0
-        reps = 0
-        results = None
-        while total < MIN_BENCH_SECONDS and reps < MAX_BENCH_REPS:
-            runner = JobRunner(jobs=1, shards=shards)
-            t0 = time.perf_counter()
-            results = runner.run(plan)
-            total += time.perf_counter() - t0
-            reps += 1
-        doc = json.dumps(
-            {key: stats.to_json_dict() for key, stats in results.items()},
-            sort_keys=True)
-        if baseline_doc is None:
-            baseline_doc = doc
-        elif doc != baseline_doc:
-            raise SystemExit(
-                f"sharded fig5 sweep diverged from serial at "
-                f"--shards {shards}")
-        per_shards[str(shards)] = {"seconds": round(total / reps, 6),
-                                   "reps": reps}
-    serial_s = per_shards[str(shard_counts[0])]["seconds"]
-    for entry in per_shards.values():
-        entry["speedup_vs_serial"] = round(serial_s / entry["seconds"], 2)
-    return {
-        "preset": preset,
-        "config": "fig5 sweep, --jobs 1",
-        "jobs": len(plan),
-        "identical_to_serial": True,
-        "per_shards": per_shards,
-    }
+def src_repro_lines() -> int:
+    """Total lines of ``src/repro/**/*.py`` (what ``wc -l`` counts)."""
+    root = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "repro")
+    lines = 0
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    lines += fh.read().count(b"\n")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -312,14 +262,10 @@ def main(argv=None) -> int:
     print("engine: chain bench...", flush=True)
     chain = bench_engine_chain()
     print(f"  {chain['events_per_sec']:,.0f} events/sec", flush=True)
-    print("engine: WORKER reference (compiled/interpreted A/B)...",
+    print("engine: WORKER reference...", flush=True)
+    worker = bench_worker_reference()
+    print(f"  {worker['sim_cycles_per_sec']:,.0f} sim cycles/sec",
           flush=True)
-    worker, worker_interp = bench_worker_reference()
-    speedup = (worker["sim_cycles_per_sec"]
-               / worker_interp["sim_cycles_per_sec"])
-    print(f"  compiled {worker['sim_cycles_per_sec']:,.0f}, interpreted "
-          f"{worker_interp['sim_cycles_per_sec']:,.0f} sim cycles/sec "
-          f"(compiled is {speedup:.2f}x)", flush=True)
     print(f"drivers ({args.preset} preset): serial, parallel, "
           f"warm cache...", flush=True)
     drivers = bench_drivers(args.preset)
@@ -329,13 +275,8 @@ def main(argv=None) -> int:
           f"workers, {totals['parallel_speedup']}x), warm cache "
           f"{totals['warm_cache_s']}s ({totals['cache_speedup']}x)",
           flush=True)
-    print("shards: fig5 sweep at --shards 1/2/4...", flush=True)
-    shard_scaling = bench_shard_scaling(args.preset)
-    print("  " + ", ".join(
-        f"--shards {count} {entry['seconds']}s "
-        f"({entry['speedup_vs_serial']}x)"
-        for count, entry in shard_scaling["per_shards"].items()),
-        flush=True)
+    lines = src_repro_lines()
+    print(f"src/repro: {lines:,} lines", flush=True)
 
     doc = {
         "schema": "repro-bench-experiments/1",
@@ -349,11 +290,9 @@ def main(argv=None) -> int:
             "drain": drain,
             "chain": chain,
             "worker_reference": worker,
-            "worker_reference_interpreted": worker_interp,
-            "compiled_dispatch_speedup": round(speedup, 3),
         },
         "drivers": drivers,
-        "shards": shard_scaling,
+        "src_repro_lines": lines,
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
