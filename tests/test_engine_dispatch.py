@@ -2,7 +2,7 @@
 
 These tests pin the corners of row *selection* in
 :class:`~repro.core.protocol.engine.HomeProtocolEngine`, parametrized
-over all three directory backends:
+over all three directory backends and the engine's dispatch mode:
 
 - ``when_missing`` selection: a ``get``-policy event for a block with
   no directory entry sees only the wildcard rows (and an ``ignore``
@@ -34,6 +34,9 @@ PROTOCOLS = {
 }
 HW_BACKENDS = ["full_map", "limited"]
 ALL_BACKENDS = list(PROTOCOLS)
+#: The engine's one dispatch mode: it walks the protocol table row by
+#: row.  Kept as a parameter so each case is named for the mode it runs.
+DISPATCH_PARAMS = ["interpreted"]
 
 
 def _home(backend: str):
@@ -51,8 +54,9 @@ def _msg(kind: str, src: int, block: int) -> Message:
                    payload=ProtoPayload(block=block, requester=src))
 
 
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", HW_BACKENDS)
-def test_when_missing_ignore_fallback(backend):
+def test_when_missing_ignore_fallback(backend, dispatch):
     """relinq (get + ignore) on an absent entry is swallowed whole: no
     rows match, no entry is created, nothing is sent."""
     node, block = _home(backend)
@@ -62,7 +66,8 @@ def test_when_missing_ignore_fallback(backend):
     assert sum(node.stats.messages_sent.values()) == sent_before
 
 
-def test_when_missing_wildcard_guard_fires():
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
+def test_when_missing_wildcard_guard_fires(dispatch):
     """The software-only flush_ack row is a wildcard whose guard
     tolerates ``entry=None`` — it must be selected for an absent entry."""
     node, block = _home("software_only")
@@ -75,8 +80,9 @@ def test_when_missing_wildcard_guard_fires():
     assert block not in backend._flush_acks
 
 
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_strict_no_rule_on_missing_entry(backend):
+def test_strict_no_rule_on_missing_entry(backend, dispatch):
     """ack (get + error) with no entry and no matching wildcard row
     must raise through the backend's no_rule hook."""
     node, block = _home(backend)
@@ -85,8 +91,9 @@ def test_strict_no_rule_on_missing_entry(backend):
     assert block not in node.home.entries
 
 
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_strict_no_rule_on_unmatched_state(backend):
+def test_strict_no_rule_on_unmatched_state(backend, dispatch):
     """fetch_data only has rows for transaction states; delivering it
     to a READ_ONLY entry must raise, not fall through silently."""
     node, block = _home(backend)
@@ -97,8 +104,9 @@ def test_strict_no_rule_on_unmatched_state(backend):
         node.home.handle(_msg("fetch_data", 1, block))
 
 
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
 @pytest.mark.parametrize("backend", HW_BACKENDS)
-def test_wildcard_row_precedes_state_rows(backend):
+def test_wildcard_row_precedes_state_rows(backend, dispatch):
     """The hardware busy row is a wildcard declared *before* the
     READ_ONLY rows: with a software handler pending it must win over
     read_record even though the state-specific row also matches."""
@@ -119,7 +127,8 @@ def test_wildcard_row_precedes_state_rows(backend):
     assert entry.has_pointer(2)
 
 
-def test_wildcard_rows_keep_table_order():
+@pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)
+def test_wildcard_rows_keep_table_order(dispatch):
     """Two wildcard rreq rows in the software-only table: the guarded
     local fast path is declared first and must be tried first — the
     home's own first read takes no trap and leaves the remote-access

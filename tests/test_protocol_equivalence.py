@@ -8,6 +8,8 @@ every configuration and matching byte-for-byte proves the refactor
 behaviour-preserving across the whole spectrum — full-map, limited
 pointers with software extension, LACK/ACK variants, broadcast, and the
 software-only directory, plus the Section 7 enhancement paths.
+Each case is named for the engine's one dispatch mode, the interpreted
+table walk.
 
 Regenerate (only for *intentional* behaviour changes) with::
 
@@ -41,10 +43,11 @@ def _workload_for(config_id: str):
     return AdaptiveQuadrature()
 
 
+@pytest.mark.parametrize("dispatch", ["interpreted"])
 @pytest.mark.parametrize(
     "entry", _FIXTURE["entries"], ids=[e["id"] for e in _FIXTURE["entries"]]
 )
-def test_byte_identical_with_prerefactor_controllers(entry):
+def test_byte_identical_with_prerefactor_controllers(entry, dispatch):
     kwargs = dict(entry["machine"])
     machine = Machine(MachineParams(n_nodes=_FIXTURE["n_nodes"]),
                       **kwargs)
